@@ -1,9 +1,7 @@
 // Transport v2 benchmarks: end-to-end throughput and control-flood cost of
-// the per-peer send pipelines over a real loopback-TCP 3-broker chain,
-// batched against the v1-framing reference (Options.DisableBatching). The
-// two are the same protocol — TestTransportEquivalence proves identical
-// delivery — so the whole delta is framing: MsgBatch coalescing, buffer
-// reuse, and one flush per batch instead of one syscall per envelope.
+// the per-peer send pipelines over a real loopback-TCP 3-broker chain —
+// MsgBatch coalescing, buffer reuse, and one flush per batch instead of one
+// syscall per envelope.
 package cosmos
 
 import (
@@ -97,7 +95,7 @@ func benchChainData(b *testing.B, opts transport.Options) {
 	if got := snap["transport.dropped_data"] - dropped0; got != 0 {
 		b.Fatalf("%d tuples shed — the windowed bench must be loss-free", got)
 	}
-	if !opts.DisableBatching && b.N > window {
+	if b.N > window {
 		if snap["transport.batch_size"] == batchSize0 {
 			b.Fatal("batched run coalesced nothing — transport.batch_size never moved")
 		}
@@ -111,8 +109,8 @@ func benchChainData(b *testing.B, opts transport.Options) {
 // BenchmarkChainThroughput/data/*: tuples routed node 0 → 1 → 2 end to end
 // (two TCP hops), ns/op = per-tuple latency at full pipeline occupancy, so
 // 1e9/ns_per_op is tuples/sec. The publisher keeps a bounded in-flight
-// window (below the data queue depth) — every published tuple is delivered,
-// and the batched/unbatched comparison measures framing, not loss.
+// window (below the data queue depth) — every published tuple is
+// delivered, so the bench measures the pipeline, not loss.
 //
 // /advertflood/*: one iteration floods an advertisement into a broker
 // holding 1000 pending subscriptions and waits for the full replay burst
@@ -120,18 +118,8 @@ func benchChainData(b *testing.B, opts transport.Options) {
 // it again — the control-plane storm of a source joining a populated
 // overlay. Batching collapses the burst's wire messages by ~BatchSize.
 func BenchmarkChainThroughput(b *testing.B) {
-	modes := []struct {
-		name string
-		opts transport.Options
-	}{
-		{"batched", transport.Options{}},
-		{"unbatched", transport.Options{DisableBatching: true}},
-	}
-
 	b.Run("data", func(b *testing.B) {
-		for _, m := range modes {
-			b.Run(m.name, func(b *testing.B) { benchChainData(b, m.opts) })
-		}
+		b.Run("batched", func(b *testing.B) { benchChainData(b, transport.Options{}) })
 	})
 
 	b.Run("sweep", func(b *testing.B) {
@@ -155,44 +143,42 @@ func BenchmarkChainThroughput(b *testing.B) {
 	})
 
 	b.Run("advertflood", func(b *testing.B) {
-		for _, m := range modes {
-			b.Run(m.name, func(b *testing.B) {
-				nodes := benchChain(b, m.opts)
-				// 1000 pending subscriptions on non-overlapping attributes
-				// (no containment: the full burst must travel every hop).
-				const nSubs = 1000
-				for i := 0; i < nSubs; i++ {
-					lit := stream.FloatVal(float64(i))
-					sub := &pubsub.Subscription{
-						ID: fmt.Sprintf("s%d", i), Streams: []string{"R"},
-						Filters: []query.Predicate{{
-							Left:  query.Operand{Col: &query.ColRef{Attr: fmt.Sprintf("a%d", i)}},
-							Op:    query.Ge,
-							Right: query.Operand{Lit: &lit},
-						}},
-					}
-					if err := nodes[2].Broker.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) {}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run("batched", func(b *testing.B) {
+			nodes := benchChain(b, transport.Options{})
+			// 1000 pending subscriptions on non-overlapping attributes
+			// (no containment: the full burst must travel every hop).
+			const nSubs = 1000
+			for i := 0; i < nSubs; i++ {
+				lit := stream.FloatVal(float64(i))
+				sub := &pubsub.Subscription{
+					ID: fmt.Sprintf("s%d", i), Streams: []string{"R"},
+					Filters: []query.Predicate{{
+						Left:  query.Operand{Col: &query.ColRef{Attr: fmt.Sprintf("a%d", i)}},
+						Op:    query.Ge,
+						Right: query.Operand{Lit: &lit},
+					}},
 				}
-				wire0 := metrics.Counters()["transport.wire_msgs"]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					nodes[0].Broker.Advertise("R")
-					benchWaitChain(b, "replay burst at source", func() bool {
-						remote, _ := nodes[0].Broker.RoutingStateSize()
-						return remote == nSubs
-					})
-					nodes[0].Broker.Unadvertise("R")
-					benchWaitChain(b, "withdrawal pruned", func() bool {
-						remote, _ := nodes[0].Broker.RoutingStateSize()
-						return remote == 0
-					})
+				if err := nodes[2].Broker.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) {}); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				wire := metrics.Counters()["transport.wire_msgs"] - wire0
-				b.ReportMetric(float64(wire)/float64(b.N), "wire_msgs/flood")
-			})
-		}
+			}
+			wire0 := metrics.Counters()["transport.wire_msgs"]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nodes[0].Broker.Advertise("R")
+				benchWaitChain(b, "replay burst at source", func() bool {
+					remote, _ := nodes[0].Broker.RoutingStateSize()
+					return remote == nSubs
+				})
+				nodes[0].Broker.Unadvertise("R")
+				benchWaitChain(b, "withdrawal pruned", func() bool {
+					remote, _ := nodes[0].Broker.RoutingStateSize()
+					return remote == 0
+				})
+			}
+			b.StopTimer()
+			wire := metrics.Counters()["transport.wire_msgs"] - wire0
+			b.ReportMetric(float64(wire)/float64(b.N), "wire_msgs/flood")
+		})
 	})
 }

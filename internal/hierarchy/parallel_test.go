@@ -75,11 +75,10 @@ func TestAdaptParallelUpwardDeterminism(t *testing.T) {
 	}
 }
 
-// TestAdaptSequentialReferenceMode: forcing the sequential reference path
-// (Config.SequentialAdapt) with a parallel worker budget must reproduce the
-// parallel descent's placements exactly, including when a load estimator
-// shifts query weights between rounds (refreshWeights runs inside the
-// descent on every non-root coordinator).
+// TestAdaptSequentialReferenceMode: the sequential descent (Workers 1) must
+// reproduce the parallel descent's placements (Workers 8) exactly,
+// including when a load estimator shifts query weights between rounds
+// (refreshWeights runs inside the descent on every non-root coordinator).
 func TestAdaptSequentialReferenceMode(t *testing.T) {
 	oracle, procs, queries, rates, sources := testSetup(t)
 	loadOf := func(round int) func(string) float64 {
@@ -87,8 +86,8 @@ func TestAdaptSequentialReferenceMode(t *testing.T) {
 			return 0.1 + float64((len(name)*7+round*13)%5)*0.05
 		}
 	}
-	run := func(sequential bool) map[string]topology.NodeID {
-		cfg := Config{K: 3, VMax: 20, Seed: 11, Workers: 8, SequentialAdapt: sequential}
+	run := func(workers int) map[string]topology.NodeID {
+		cfg := Config{K: 3, VMax: 20, Seed: 11, Workers: workers}
 		tree, err := Build(oracle, procs, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -103,8 +102,8 @@ func TestAdaptSequentialReferenceMode(t *testing.T) {
 		}
 		return tree.Placement()
 	}
-	want := run(true)
-	got := run(false)
+	want := run(1)
+	got := run(8)
 	if len(got) != len(want) || len(want) == 0 {
 		t.Fatalf("placed %d parallel vs %d sequential", len(got), len(want))
 	}

@@ -44,12 +44,12 @@ func TestDefaults(t *testing.T) {
 func TestFlagLayer(t *testing.T) {
 	cfg := load(t, []string{
 		"-id", "3", "-listen", ":7003", "-peers", "1=h1:7001,0=h0:7000",
-		"-period", "250ms", "-no-batching", "-ops-listen", ":8080",
+		"-period", "250ms", "-ops-listen", ":8080",
 	}, nil)
 	if cfg.NodeID != 3 || cfg.Listen != ":7003" || cfg.OpsListen != ":8080" {
 		t.Errorf("flags not applied: %+v", cfg)
 	}
-	if !cfg.NoBatching || cfg.Period != 250*time.Millisecond {
+	if cfg.Period != 250*time.Millisecond {
 		t.Errorf("flags not applied: %+v", cfg)
 	}
 	// Peers come back sorted by ID regardless of input order.

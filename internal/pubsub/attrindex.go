@@ -39,18 +39,17 @@ import (
 // pruned on (their comparisons fall back to raw predicates) and fall back
 // to the full posting list, exactly as before.
 //
-// The index is rebuilt lazily: add/remove invalidate the affected stream's
-// entry and the first route through it rebuilds it — under the broker lock
-// on the locked reference path (dirIndex.attrIndex), or lock-free per
-// snapshot epoch on the snapshot path (streamSnap.pruneIndex, which relies
-// on buildAttrPruneIndex being a pure function of the frozen posting list).
-// A built index is immutable either way; invalidation replaces, never
-// mutates.
+// The index is built lazily, lock-free, once per snapshot epoch and stream:
+// the first route through a re-frozen posting list builds it
+// (streamSnap.pruneIndex, which relies on buildAttrPruneIndex being a pure
+// function of the frozen posting list). A built index is immutable; the
+// next epoch replaces it, never mutates it.
 
 // pruneMin is the posting-list population below which the prune index is
 // not built: selection and merge overhead beats a handful of direct
 // interval tests. Package variable so tests can force pruning on tiny
-// populations.
+// populations, or switch it off (a bound above every population) to get
+// the unpruned full-scan matcher.
 var pruneMin = 16
 
 // attrPruneIndex is the prune index of one (direction, stream) posting
@@ -189,25 +188,14 @@ func stabTree(entries []ivEntry, maxUp []query.Interval, l, r int, v float64, ou
 	return out
 }
 
-// prunedCandidates selects the posting-list positions worth evaluating for
-// t against d's posting list of t.Stream, in ascending (registration)
-// order — the locked-path wrapper over pruneSelect, using the live
-// dirIndex's cached prune index. ok reports whether pruning applies; when
-// false the caller scans the full posting list. The returned slice aliases
-// bufs scratch and is valid until the next call; the caller holds b.mu.
-func (b *Broker) prunedCandidates(d *dirIndex, t stream.Tuple, cands []*compiledSub, bufs *routeBufs) ([]int32, bool) {
-	if b.noPrune || len(cands) < pruneMin {
-		return nil, false
-	}
-	return pruneSelect(d.attrIndex(t.Stream), t, len(cands), bufs)
-}
-
-// prunedSnapCandidates is the snapshot-path wrapper: same selection over
-// the epoch's frozen posting list, with the prune index built lazily per
-// epoch (streamSnap.pruneIndex) instead of cached on the live dirIndex.
-// Runs without the broker lock; scratch lives in the caller's pooled bufs.
-func prunedSnapCandidates(ss *streamSnap, t stream.Tuple, noPrune bool, bufs *routeBufs) ([]int32, bool) {
-	if noPrune || len(ss.cands) < pruneMin {
+// prunedSnapCandidates selects the positions of the epoch's frozen posting
+// list worth evaluating for t, in ascending (registration) order, with the
+// prune index built lazily per epoch (streamSnap.pruneIndex). ok reports
+// whether pruning applies; when false the caller scans the full posting
+// list. The returned slice aliases bufs scratch and is valid until the next
+// call. Runs without the broker lock.
+func prunedSnapCandidates(ss *streamSnap, t stream.Tuple, bufs *routeBufs) ([]int32, bool) {
+	if len(ss.cands) < pruneMin {
 		return nil, false
 	}
 	return pruneSelect(ss.pruneIndex(), t, len(ss.cands), bufs)
@@ -218,8 +206,7 @@ func prunedSnapCandidates(ss *streamSnap, t stream.Tuple, noPrune bool, bufs *ro
 // ascending (registration) order. ok is false when no usable constrained
 // attribute exists or the estimated yield is too close to the full
 // population (nCands) to pay for the merge. Pure with respect to ai — it
-// writes only into bufs — so it serves both the locked path (under b.mu)
-// and the lock-free snapshot path.
+// writes only into bufs — so concurrent routes may share one index.
 func pruneSelect(ai *attrPruneIndex, t stream.Tuple, nCands int, bufs *routeBufs) ([]int32, bool) {
 	if ai == nil {
 		return nil, false

@@ -310,7 +310,7 @@ func TestMatchIndexEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin.SetLinearMatching(true)
+		lin.setLinearMatching(true)
 		idx, err := NewNetwork(oracle, ids)
 		if err != nil {
 			t.Fatal(err)

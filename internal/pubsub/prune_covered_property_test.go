@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -20,8 +21,8 @@ import (
 //     recorded suppressor is a currently valid cover.
 
 // TestPrunedCandidateSuperset: over random subscription populations and
-// tuples, prunedCandidates returns a superset of the posting-list positions
-// whose subscription matches the tuple, in ascending order.
+// tuples, prunedSnapCandidates returns a superset of the posting-list
+// positions whose subscription matches the tuple, in ascending order.
 func TestPrunedCandidateSuperset(t *testing.T) {
 	old := pruneMin
 	pruneMin = 0
@@ -38,12 +39,13 @@ func TestPrunedCandidateSuperset(t *testing.T) {
 			c.sentTo = make(map[topology.NodeID]bool)
 			b.idx.locals.add(c)
 		}
-		cands := b.idx.locals.byStream["R"]
+		ss := newStreamSnap(b.idx.locals, "R")
+		cands := ss.cands
 		bufs := new(routeBufs)
 		for trial := 0; trial < 40; trial++ {
 			tup := eqRandomTuple(r)
 			tup.Stream = "R"
-			sel, ok := b.prunedCandidates(b.idx.locals, tup, cands, bufs)
+			sel, ok := prunedSnapCandidates(ss, tup, bufs)
 			if !ok {
 				continue // full scan: trivially complete
 			}
@@ -168,7 +170,7 @@ func TestCoveredByIndexMatchesRecomputation(t *testing.T) {
 					t.Fatal(err)
 				}
 				if linear {
-					net.SetLinearMatching(true)
+					net.setLinearMatching(true)
 				}
 				var log []string
 				runEqScenario(t, net, ops, &log)
@@ -196,9 +198,10 @@ func TestCoveredByIndexMatchesRecomputation(t *testing.T) {
 
 // TestPrunedRouteMatchesUnpruned: on a dense single-stream population large
 // enough to engage the production prune threshold, pruned and unpruned
-// matching deliver identical tuples.
+// matching deliver identical tuples. The unpruned run raises pruneMin above
+// the population, so every route scans the full posting list.
 func TestPrunedRouteMatchesUnpruned(t *testing.T) {
-	build := func(prune bool, log *[]string) *Network {
+	run := func(log *[]string) {
 		g := topology.NewGraph(2)
 		if err := g.AddEdge(0, 1, 1); err != nil {
 			t.Fatal(err)
@@ -207,7 +210,6 @@ func TestPrunedRouteMatchesUnpruned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetAttrPruning(prune)
 		src, _ := net.Broker(0)
 		dst, _ := net.Broker(1)
 		src.Advertise("R")
@@ -222,20 +224,19 @@ func TestPrunedRouteMatchesUnpruned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return net
+		r = rand.New(rand.NewPCG(8, 56))
+		for i := 0; i < 200; i++ {
+			tup := eqRandomTuple(r)
+			tup.Stream = "R"
+			src.Publish(tup)
+		}
 	}
 	var prunedLog, plainLog []string
-	pruned := build(true, &prunedLog)
-	plain := build(false, &plainLog)
-	r := rand.New(rand.NewPCG(8, 56))
-	for i := 0; i < 200; i++ {
-		tup := eqRandomTuple(r)
-		tup.Stream = "R"
-		srcP, _ := pruned.Broker(0)
-		srcU, _ := plain.Broker(0)
-		srcP.Publish(tup)
-		srcU.Publish(tup)
-	}
+	run(&prunedLog)
+	old := pruneMin
+	pruneMin = math.MaxInt
+	defer func() { pruneMin = old }()
+	run(&plainLog)
 	if len(prunedLog) == 0 {
 		t.Fatal("no deliveries: test not exercising the match path")
 	}

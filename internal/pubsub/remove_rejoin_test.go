@@ -356,3 +356,23 @@ func TestRemoveBrokerStarTopology(t *testing.T) {
 		t.Fatalf("star overlay did not drain after hub crash:\n%v", residual)
 	}
 }
+
+// TestFreshBrokerDropsNonNeighborData: a broker that never churned already
+// routes on a published (empty) epoch, and that epoch's neighbor set — empty
+// — rejects data arriving from any direction, while local publishes still
+// route.
+func TestFreshBrokerDropsNonNeighborData(t *testing.T) {
+	b := NewBroker(nil, 0)
+	if b.snap.Load() == nil {
+		t.Fatal("NewBroker published no matching epoch")
+	}
+	routed := cRoutedTuples.Value()
+	b.RouteFrom(tuple("R", map[string]float64{"a": 1}), 3)
+	if got := cRoutedTuples.Value() - routed; got != 0 {
+		t.Fatalf("data from non-neighbor 3 was routed (%d tuples), want dropped", got)
+	}
+	b.Publish(tuple("R", map[string]float64{"a": 1}))
+	if got := cRoutedTuples.Value() - routed; got != 1 {
+		t.Fatalf("local publish routed %d tuples, want 1", got)
+	}
+}

@@ -52,10 +52,6 @@ type matchSnapshot struct {
 	neighbors []topology.NodeID
 	locals    *dirSnap
 	dirs      map[topology.NodeID]*dirSnap
-	// noPrune freezes the broker's attribute-pruning mode into the epoch,
-	// so a mode toggle behaves like any other churn: it republishes, and
-	// in-flight routes finish on the epoch they loaded.
-	noPrune bool
 }
 
 // dirSnap is the frozen per-stream view of one direction: the posting-list
@@ -117,8 +113,8 @@ func (ds *dirSnap) stream(s string) *streamSnap {
 }
 
 // pruneIndex returns the snapshot's attribute-prune index (attrindex.go),
-// building it on first use. Unlike the live dirIndex.attrIndex cache this
-// runs OUTSIDE the broker lock, on the lock-free route path: correctness
+// building it on first use. It runs OUTSIDE the broker lock, on the
+// lock-free route path: correctness
 // rests on buildAttrPruneIndex being a pure function of the frozen cands
 // slice, so two racing builders compute identical indexes and either store
 // may win.
@@ -199,10 +195,10 @@ func snapDir(d *dirIndex, prev *dirSnap, full bool) *dirSnap {
 // otherwise. Caller holds b.mu.
 func (b *Broker) publishLocked() {
 	cur := b.snap.Load()
-	if b.linearMatch || b.snapOff {
-		// Reference modes route through the locked path; an epoch swap to
-		// nil is how the mode change reaches in-flight routes. snapAll
-		// stays set so re-enabling rebuilds from scratch (dirty marks kept
+	if b.linearMatch {
+		// Linear mode routes through the locked path; an epoch swap to nil
+		// is how the mode change reaches in-flight routes. snapAll stays
+		// set so leaving it rebuilds from scratch (dirty marks kept
 		// accumulating, but prev snapshots are gone).
 		if cur != nil {
 			b.snap.Store(nil)
@@ -214,7 +210,7 @@ func (b *Broker) publishLocked() {
 	if !full && !b.idx.dirtyAny() {
 		return
 	}
-	next := &matchSnapshot{noPrune: b.noPrune}
+	next := &matchSnapshot{}
 	if full {
 		next.neighbors = append([]topology.NodeID(nil), b.neighbors...)
 		next.locals = snapDir(b.idx.locals, nil, true)
@@ -259,14 +255,20 @@ func nodeIn(nodes []topology.NodeID, n topology.NodeID) bool {
 	return false
 }
 
-// matchSnap is matchIndexed against a frozen epoch: identical candidate
-// enumeration, pruning, short-circuits and projection-union fast path, just
-// reading the snapshot instead of the live index — so its decisions are bit
-// for bit those matchIndexed would have made at publish time. Runs without
+// matchSnap matches via the inverted index of a frozen epoch: only the
+// posting list of the tuple's stream is consulted per direction — cut down
+// further to the candidates whose compiled interval on the most selective
+// constrained attribute admits the tuple's value (prunedSnapCandidates), in
+// posting-list order — each candidate evaluates its compiled filter groups,
+// and when every candidate matches, the forwarding projection is the
+// direction's precomputed per-stream union instead of a per-tuple rebuild.
+// Pruning skips only candidates whose exact matcher would reject the tuple
+// anyway, so deliveries, forwarding decisions and projections are identical
+// with pruning on or off (and identical to matchLinear). Runs without
 // Broker.mu; all scratch lives in the pooled bufs.
 func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *routeBufs, locals []delivery, hops []hop) ([]delivery, []hop) {
 	if ls := snap.locals.stream(t.Stream); ls != nil {
-		if sel, ok := prunedSnapCandidates(ls, t, snap.noPrune, bufs); ok {
+		if sel, ok := prunedSnapCandidates(ls, t, bufs); ok {
 			for _, p := range sel {
 				if c := ls.cands[p]; c.handler != nil && c.matches(t) {
 					locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
@@ -295,7 +297,7 @@ func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *
 		cands := ss.cands
 		matched := bufs.match[:0]
 		all := false
-		if sel, ok := prunedSnapCandidates(ss, t, snap.noPrune, bufs); ok {
+		if sel, ok := prunedSnapCandidates(ss, t, bufs); ok {
 			for _, p := range sel {
 				c := cands[p]
 				if !c.matches(t) {
@@ -327,9 +329,11 @@ func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *
 		case len(matched) == 0:
 			continue // not interested
 		case len(matched) == len(cands):
-			// Same argument as matchIndexed: every candidate matched and
-			// none keeps all attributes, so the precomputed union IS the
-			// per-tuple union, and the map is immutable by construction.
+			// Every posting-list candidate matched (a pruned scan can
+			// only reach this count by having evaluated the whole list),
+			// and none keeps all attributes (such a candidate would have
+			// matched too): the precomputed union IS the per-tuple union,
+			// and the map is immutable by construction.
 			wanted = ss.union.keep
 		default:
 			wanted = make(map[string]bool)

@@ -14,20 +14,20 @@ import (
 )
 
 // TestTransportEquivalence drives the same randomized workload over the same
-// randomized live-TCP overlay in batched mode, reference (DisableBatching)
-// mode, and an aggressive small-batch mode, and requires all three to
-// deliver the identical multiset of tuples and to drain to the identical
-// (empty) routing state. Batching is pure framing: the broker protocol must
-// not be able to tell the difference.
+// randomized live-TCP overlay with the default batching, with batches of
+// one envelope (BatchSize 1), and with an aggressive small-batch mode, and
+// requires all three to deliver the identical multiset of tuples and to
+// drain to the identical (empty) routing state. Batching is pure framing:
+// the broker protocol must not be able to tell the difference.
 func TestTransportEquivalence(t *testing.T) {
 	modes := []struct {
 		name string
 		opts Options
 	}{
 		{"batched", Options{}},
-		{"unbatched", Options{DisableBatching: true}},
+		{"batch1", Options{BatchSize: 1}},
 		// Small batches with no flush window: exercises the partial-batch
-		// path and batch-of-1 unwrapping under the same workload.
+		// path under the same workload.
 		{"batch4-nowindow", Options{BatchSize: 4, FlushWindow: -1}},
 	}
 	for seed := int64(1); seed <= 2; seed++ {

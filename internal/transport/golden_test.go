@@ -113,8 +113,7 @@ func TestGoldenEnvelopeBytes(t *testing.T) {
 	}
 }
 
-// --- v1 interop: a peer that predates MsgBatch speaks plain envelopes in
-// --- both directions.
+// --- v1 interop: a peer that predates MsgBatch speaks plain envelopes.
 
 // v1Peer is a minimal single-envelope peer: a raw listener whose decode
 // loop understands only the plain kinds and treats MsgBatch as a protocol
@@ -122,7 +121,7 @@ func TestGoldenEnvelopeBytes(t *testing.T) {
 type v1Peer struct {
 	ln   net.Listener
 	got  chan Envelope
-	bad  chan MsgKind
+	bad  chan Envelope
 	done chan struct{}
 }
 
@@ -132,7 +131,7 @@ func startV1Peer(t *testing.T) *v1Peer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &v1Peer{ln: ln, got: make(chan Envelope, 64), bad: make(chan MsgKind, 64), done: make(chan struct{})}
+	p := &v1Peer{ln: ln, got: make(chan Envelope, 64), bad: make(chan Envelope, 64), done: make(chan struct{})}
 	go func() {
 		defer close(p.done)
 		for {
@@ -149,7 +148,7 @@ func startV1Peer(t *testing.T) *v1Peer {
 						return
 					}
 					if env.Kind == MsgBatch || env.Kind <= 0 || env.Kind > MsgUnadvertise {
-						p.bad <- env.Kind
+						p.bad <- env
 						continue
 					}
 					p.got <- env
@@ -161,42 +160,12 @@ func startV1Peer(t *testing.T) *v1Peer {
 	return p
 }
 
-// TestV1InteropSingleEnvelopeFallback: a node configured with
-// DisableBatching (the negotiated fallback for a MsgBatch-unaware neighbor)
-// sends a v1 peer nothing but plain envelopes, whatever the traffic rate.
-func TestV1InteropSingleEnvelopeFallback(t *testing.T) {
-	n, err := NewNodeWith(0, "127.0.0.1:0", Options{DisableBatching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = n.Close() }) //lint:errdrop test teardown is best-effort
-	old := startV1Peer(t)
-	n.Connect(1, old.ln.Addr().String())
-
-	// A burst dense enough that batching mode WOULD coalesce it.
-	for i := 0; i < 20; i++ {
-		n.Peer(1).AdvertFrom(0, fmt.Sprintf("S%d", i), 0, 1)
-	}
-	n.Flush()
-	for i := 0; i < 20; i++ {
-		select {
-		case env := <-old.got:
-			if env.Kind != MsgAdvert {
-				t.Fatalf("v1 peer got kind %d, want advert", env.Kind)
-			}
-		case k := <-old.bad:
-			t.Fatalf("v1 peer got undecipherable kind %d (batch leaked into fallback mode)", k)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("v1 peer received only %d of 20 envelopes", i)
-		}
-	}
-}
-
-// TestV1InteropBatchOfOneUnwrapped: even with batching ON, a lone envelope
-// (no traffic behind it in the flush window) goes out in v1 framing — a
-// batch of one is unwrapped. Low-rate links interoperate with old peers
-// without any configuration.
-func TestV1InteropBatchOfOneUnwrapped(t *testing.T) {
+// TestLoneEnvelopeSentAsBatchOfOne: a lone envelope (no traffic behind it
+// in the flush window) still goes out as a MsgBatch holding just that
+// envelope — there is one outbound framing, whatever the rate, so a v1 peer
+// no longer understands a v2 sender. Only the inbound side stays v1
+// compatible (TestV1InteropInbound).
+func TestLoneEnvelopeSentAsBatchOfOne(t *testing.T) {
 	n, err := NewNodeWith(0, "127.0.0.1:0", Options{FlushWindow: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -208,20 +177,23 @@ func TestV1InteropBatchOfOneUnwrapped(t *testing.T) {
 	n.Peer(1).AdvertFrom(0, "R", 0, 1)
 	n.Flush()
 	select {
-	case env := <-old.got:
-		if env.Kind != MsgAdvert || env.StreamName != "R" {
-			t.Fatalf("v1 peer got %+v, want plain advert for R", env)
+	case env := <-old.bad:
+		if env.Kind != MsgBatch || len(env.Batch) != 1 {
+			t.Fatalf("lone envelope arrived as kind %d with %d members, want a MsgBatch of one", env.Kind, len(env.Batch))
 		}
-	case k := <-old.bad:
-		t.Fatalf("lone envelope arrived as kind %d — batch of one was not unwrapped", k)
+		if m := env.Batch[0]; m.Kind != MsgAdvert || m.StreamName != "R" {
+			t.Fatalf("batch member = %+v, want the advert for R", m)
+		}
+	case env := <-old.got:
+		t.Fatalf("lone envelope arrived in plain v1 framing: %+v", env)
 	case <-time.After(5 * time.Second):
 		t.Fatal("v1 peer never received the lone envelope")
 	}
 }
 
 // TestV1InteropInbound: envelopes from a v1 peer (plain framing, no
-// batches) drive a v2 broker — upgrade one node at a time and the overlay
-// keeps working. (The fault suite already covers malformed traffic; this is
+// batches) still drive a v2 broker — the receive loop accepts both
+// framings. (The fault suite already covers malformed traffic; this is
 // the well-formed v1 sender.)
 func TestV1InteropInbound(t *testing.T) {
 	n, err := NewNode(0, "127.0.0.1:0")

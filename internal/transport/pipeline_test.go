@@ -140,9 +140,10 @@ func TestFlushWindowCoalescesBurst(t *testing.T) {
 	})
 }
 
-func TestDisableBatchingNeverEmitsMsgBatch(t *testing.T) {
-	opts := Options{DisableBatching: true}
-	a, err := NewNodeWith(0, "127.0.0.1:0", opts)
+// TestBatchSizeOneFramesEachEnvelope: with BatchSize 1 every envelope is
+// its own MsgBatch frame of one — the smallest batch the pipeline writes.
+func TestBatchSizeOneFramesEachEnvelope(t *testing.T) {
+	a, err := NewNodeWith(0, "127.0.0.1:0", Options{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +156,21 @@ func TestDisableBatchingNeverEmitsMsgBatch(t *testing.T) {
 	a.Connect(1, b.Addr())
 	b.Connect(0, a.Addr())
 
-	batches, wire := cBatches.Value(), cWireMsgs.Value()
+	batches, sized, wire := cBatches.Value(), cBatchSize.Value(), cWireMsgs.Value()
 	for i := 0; i < 25; i++ {
 		a.Peer(1).AdvertFrom(0, fmt.Sprintf("S%d", i), 0, 1)
 	}
 	a.Flush()
-	if got := cBatches.Value() - batches; got != 0 {
-		t.Errorf("reference mode emitted %d MsgBatch messages, want 0", got)
+	if got := cBatches.Value() - batches; got != 25 {
+		t.Errorf("BatchSize 1 wrote %d MsgBatch frames, want 25", got)
+	}
+	if got := cBatchSize.Value() - sized; got != 25 {
+		t.Errorf("batch_size moved by %d, want 25 (one envelope per batch)", got)
 	}
 	if got := cWireMsgs.Value() - wire; got != 25 {
-		t.Errorf("reference mode wrote %d wire messages, want 25 (one per envelope)", got)
+		t.Errorf("BatchSize 1 wrote %d wire messages, want 25 (one per envelope)", got)
 	}
-	waitFor(t, "unbatched adverts applied", func() bool {
+	waitFor(t, "single-envelope batches applied", func() bool {
 		_, learned := b.Broker.AdvertStateSize()
 		return learned == 25
 	})

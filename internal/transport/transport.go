@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sort"
@@ -25,6 +26,10 @@ var (
 	cSendRetries  = metrics.GetCounter("transport.send_retries")
 	cUnknownKind  = metrics.GetCounter("transport.unknown_envelope_kind")
 	cMalformed    = metrics.GetCounter("transport.malformed_envelope")
+	// cDecodeErrors counts inbound streams cut short by an undecodable
+	// frame (garbage, a truncated message, a reset) — everything but a
+	// clean peer close or this node's own shutdown.
+	cDecodeErrors = metrics.GetCounter("transport.decode_errors")
 	// Pipeline counters (pipeline.go): MsgBatch wire messages, the
 	// envelopes they carried (batch_size/batches = mean batch size),
 	// total top-level wire messages written (the syscall proxy), the sum
@@ -502,6 +507,10 @@ func (n *Node) serve(conn net.Conn) {
 	for {
 		var env Envelope
 		if err := dec.Decode(&env); err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				cDecodeErrors.Inc()
+				n.opts.Logger.Warn("inbound stream dropped: decode error", "remote", conn.RemoteAddr().String(), "err", err)
+			}
 			return
 		}
 		if env.Kind == MsgBatch {

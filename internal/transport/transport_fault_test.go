@@ -2,6 +2,8 @@ package transport
 
 import (
 	"encoding/gob"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -246,4 +248,56 @@ func TestWireIdempotenceUnderDupAndReorder(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestDecodeErrorsCounted: an inbound stream cut short by undecodable bytes
+// is counted once under transport.decode_errors; a peer that closes cleanly
+// after well-formed traffic is not counted at all.
+func TestDecodeErrorsCounted(t *testing.T) {
+	n, err := NewNode(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() }) //lint:errdrop test teardown is best-effort
+	// send opens one inbound stream, lets write fill it, half-closes it and
+	// waits for the node's serve loop to finish with it: serve counts the
+	// decode error before it closes its end, which the drain below sees.
+	send := func(write func(net.Conn) error) {
+		t.Helper()
+		conn, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := write(conn); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		var ne net.Error
+		if _, err := io.Copy(io.Discard, conn); errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("node never closed the inbound stream")
+		}
+	}
+
+	before := cDecodeErrors.Value()
+	send(func(c net.Conn) error {
+		_, err := c.Write([]byte{0x05, 0xff, 0xff, 0xff, 0xff, 0xff, 'j', 'u', 'n', 'k'})
+		return err
+	})
+	if got := cDecodeErrors.Value() - before; got != 1 {
+		t.Fatalf("garbage stream moved decode_errors by %d, want 1", got)
+	}
+
+	before = cDecodeErrors.Value()
+	send(func(c net.Conn) error {
+		return gob.NewEncoder(c).Encode(Envelope{Kind: MsgAdvert, From: 1, StreamName: "R", Origin: 1, Seq: 1})
+	})
+	if got := cDecodeErrors.Value() - before; got != 0 {
+		t.Fatalf("clean peer close moved decode_errors by %d, want 0", got)
+	}
 }
