@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -27,8 +28,10 @@ func TestParseSubscriptionOperators(t *testing.T) {
 		{"Station1:snowHeight>=40", query.Ge, 40},
 		{"Station1:snowHeight<40", query.Lt, 40},
 		{"Station1:snowHeight<=40", query.Le, 40},
-		{"Station1: snowHeight  >  40.5 ", query.Gt, 40.5}, // whitespace everywhere
-		{" Station1 :temperature<=-2", query.Le, -2},       // negative literal
+		{"Station1: snowHeight  >  40.5 ", query.Gt, 40.5},  // whitespace everywhere
+		{" Station1 :temperature<=-2", query.Le, -2},        // negative literal
+		{"Station1:snowHeight<+Inf", query.Lt, math.Inf(1)}, // infinities stay legal
+		{"Station1:snowHeight>-inf", query.Gt, math.Inf(-1)},
 	}
 	for _, c := range cases {
 		sub, err := parseSubscription("n", c.expr)
@@ -56,6 +59,8 @@ func TestParseSubscriptionOperators(t *testing.T) {
 func TestParseSubscriptionErrors(t *testing.T) {
 	for _, expr := range []string{
 		"Station1:snowHeight>forty", // bad literal
+		"Station1:snowHeight>NaN",   // NaN threshold matches nothing
+		"Station1:snowHeight<=nan",  // ... in any spelling
 		"Station1:>40",              // missing attribute
 		"Station1:snowHeight!40",    // no operator
 		"Station1:snowHeight",       // filter part without operator

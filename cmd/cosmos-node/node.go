@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -329,6 +330,11 @@ func parseSubscription(id, s string) (*pubsub.Subscription, error) {
 			v, err := strconv.ParseFloat(strings.TrimSpace(expr[i+len(op.tok):]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad filter %q: %v", expr, err)
+			}
+			if math.IsNaN(v) {
+				// A NaN threshold compares false with every value: the
+				// filter would install and silently match nothing.
+				return nil, fmt.Errorf("bad filter %q: NaN threshold never matches", expr)
 			}
 			lit := stream.FloatVal(v)
 			sub.Filters = append(sub.Filters, query.Predicate{

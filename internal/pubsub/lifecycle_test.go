@@ -162,6 +162,92 @@ func TestUnsubscribeUnsuppressesCovered(t *testing.T) {
 	assertDrained(t, net)
 }
 
+// TestNestedChainReplay: a nested chain a>=40 ⊃ a>=30 ⊃ a>=20 ⊃ a>=10,
+// registered narrowest first, plus an exact twin of the broadest, all
+// subscribed at the far end of a line BEFORE the source advertises. The
+// advert's replay burst sends each record unless an EARLIER-sent one covers
+// it, so the four chain links travel every hop and only the twin is
+// suppressed in-burst. Deliveries, replay bytes, the lifecycle invariant
+// through churn of the covered twin and its cover, and the drain are pinned
+// exactly.
+func TestNestedChainReplay(t *testing.T) {
+	net := lineNet(t)
+	src, _ := net.Broker(0)
+	dst, _ := net.Broker(3)
+
+	delivered := make(map[string]int)
+	thresholds := []float64{40, 30, 20, 10, 10}
+	for i, th := range thresholds {
+		sub := &Subscription{ID: fmt.Sprintf("s%d", i), Streams: []string{"R"},
+			Filters: []query.Predicate{filter("a", query.Ge, th)}}
+		if err := dst.Subscribe(sub, func(s *Subscription, tp stream.Tuple) {
+			delivered[fmt.Sprintf("%s@%d", s.ID, tp.Timestamp)]++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	net.ResetTraffic()
+	src.Advertise("R") // triggers the replay burst on every hop
+	// 3 hops × (32-byte advert + s0..s3 at 72 bytes each); s4 is covered
+	// by the earlier-sent s3.
+	const want = 3 * (32 + 4*72)
+	if got := net.Traffic().ControlBytes; got != want {
+		t.Fatalf("replay control bytes = %v, want %v", got, want)
+	}
+	checkLifecycleInvariant(t, net, 0)
+
+	values := []float64{5, 15, 25, 35, 45}
+	publishSweep := func(base int64) {
+		for i, v := range values {
+			tp := tuple("R", map[string]float64{"a": v})
+			tp.Timestamp = base + int64(i)
+			src.Publish(tp)
+		}
+	}
+	wantDelivered := make(map[string]int)
+	expectSweep := func(base int64, live int) {
+		for s, th := range thresholds[:live] {
+			for i, v := range values {
+				if v >= th {
+					wantDelivered[fmt.Sprintf("s%d@%d", s, base+int64(i))] = 1
+				}
+			}
+		}
+	}
+	publishSweep(100)
+	expectSweep(100, 5)
+
+	dst.Unsubscribe("s4") // the covered twin
+	checkLifecycleInvariant(t, net, 0)
+	dst.Unsubscribe("s3") // its cover
+	checkLifecycleInvariant(t, net, 0)
+	if remote, _ := src.RoutingStateSize(); remote != 3 {
+		t.Fatalf("publisher records %d subscriptions after churn, want 3 (s0..s2)", remote)
+	}
+	publishSweep(200)
+	expectSweep(200, 3)
+
+	if len(delivered) != len(wantDelivered) {
+		t.Errorf("delivered %d distinct (sub,tuple) pairs, want %d: %v", len(delivered), len(wantDelivered), delivered)
+	}
+	for k, n := range wantDelivered {
+		if delivered[k] != n {
+			t.Errorf("delivery %q seen %d times, want %d", k, delivered[k], n)
+		}
+	}
+
+	for _, id := range []string{"s0", "s1", "s2"} {
+		dst.Unsubscribe(id)
+	}
+	src.Unadvertise("R")
+	net.Quiesce()
+	assertDrained(t, net)
+	if rep := net.ResidualState(); len(rep) != 0 {
+		t.Fatalf("residual state after teardown: %v", rep)
+	}
+}
+
 // TestUnsubscribeUnknownAndDoubleNoOp: unsubscribing an ID that was never
 // subscribed, and unsubscribing the same ID twice, are explicit no-ops —
 // no messages, no panics, and unrelated state is untouched.

@@ -19,10 +19,9 @@ type Network struct {
 
 	mu      sync.Mutex
 	brokers map[topology.NodeID]*Broker
-	// linear and coverDelta record the matcher and propagation modes so
-	// dynamically joined brokers (AddBroker) inherit them.
-	linear     bool
-	coverDelta bool
+	// linear records the matcher mode so dynamically joined brokers
+	// (AddBroker) inherit it.
+	linear bool
 	// latency of each overlay link, keyed by ordered pair.
 	links map[[2]topology.NodeID]float64
 	// traffic in bytes per overlay link.
@@ -143,13 +142,10 @@ func (net *Network) AddBroker(n topology.NodeID) *Broker {
 	net.brokers[n] = b
 	net.addLink(attach, n, best)
 	attachBroker := net.brokers[attach]
-	lin, delta := net.linear, net.coverDelta
+	lin := net.linear
 	net.mu.Unlock()
 	if lin {
 		b.setLinearMatching(true)
-	}
-	if delta {
-		b.SetCoverDelta(true)
 	}
 	attachBroker.syncAdvertsTo(n)
 	return b
@@ -519,24 +515,6 @@ func (net *Network) setLinearMatching(on bool) {
 	net.mu.Unlock()
 	for _, b := range brokers {
 		b.setLinearMatching(on)
-	}
-}
-
-// SetCoverDelta flips covering-delta re-propagation on every broker (see
-// Broker.SetCoverDelta). Off by default: the delta mode delivers
-// identically but reshapes per-link control traffic, so the
-// rebuilt-from-scratch equivalence oracles keep it off.
-func (net *Network) SetCoverDelta(on bool) {
-	net.mu.Lock()
-	net.coverDelta = on
-	brokers := make([]*Broker, 0, len(net.brokers))
-	for _, b := range net.brokers {
-		//lint:maporder each broker gets one independent flag write; visit order is unobservable
-		brokers = append(brokers, b)
-	}
-	net.mu.Unlock()
-	for _, b := range brokers {
-		b.SetCoverDelta(on)
 	}
 }
 

@@ -10,6 +10,31 @@ import (
 	"repro/internal/topology"
 )
 
+// ComputeEdgesNaive is the literal O(|V|²) edge construction of the model —
+// every vertex pair gets one EdgeWeight evaluation. It is retained as the
+// reference implementation that the indexed ComputeEdges must match
+// bit-for-bit (see the package equivalence test); production paths use
+// ComputeEdges.
+func (g *Graph) ComputeEdgesNaive() {
+	for i := range g.adj {
+		g.adj[i] = nil
+	}
+	for len(g.adj) < len(g.Vertices) {
+		g.adj = append(g.adj, nil)
+	}
+	for i := 0; i < len(g.Vertices); i++ {
+		for j := i + 1; j < len(g.Vertices); j++ {
+			if g.Vertices[i] == nil || g.Vertices[j] == nil {
+				continue
+			}
+			w := g.EdgeWeight(g.Vertices[i], g.Vertices[j])
+			if w > 0 {
+				g.setEdge(i, j, w)
+			}
+		}
+	}
+}
+
 // randomGraph builds a randomized query graph over a random substream space:
 // q-vertices with zipf-ish interests, n-vertices for processors and sources
 // (some never referenced), and prebuilt mixed coarse vertices with multiple

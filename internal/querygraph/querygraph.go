@@ -29,9 +29,10 @@
 // representing it, and from proxy node to the vertices sending results to
 // it. ComputeEdges and ConnectVertex enumerate only candidate pairs that
 // can have nonzero weight — pairs sharing a substream, a source, or a
-// proxy — instead of evaluating all O(|V|²) pairs. ComputeEdgesNaive
-// retains the literal all-pairs construction as the reference
-// implementation; the indexed path reproduces its weights bit-for-bit.
+// proxy — instead of evaluating all O(|V|²) pairs. The equivalence test's
+// ComputeEdgesNaive retains the literal all-pairs construction as the
+// reference implementation; the indexed path reproduces its weights
+// bit-for-bit.
 package querygraph
 
 import (
@@ -839,7 +840,8 @@ func (g *Graph) demandOf(r *srcRates, q int, n *Vertex) float64 {
 // ComputeEdges materializes the full edge set from vertex content,
 // replacing any existing edges. The inverted indexes restrict weight
 // evaluation to candidate pairs that share a substream, a source node, or a
-// proxy node; the result is identical (bit-for-bit) to ComputeEdgesNaive.
+// proxy node; the result is identical (bit-for-bit) to the all-pairs
+// reference ComputeEdgesNaive in the equivalence test.
 func (g *Graph) ComputeEdges() {
 	g.idx = nil // vertex content may have changed wholesale; rebuild
 	idx := g.ensureIndex()
@@ -973,31 +975,6 @@ func (g *Graph) ComputeEdges() {
 	}
 }
 
-// ComputeEdgesNaive is the literal O(|V|²) edge construction of the model —
-// every vertex pair gets one EdgeWeight evaluation. It is retained as the
-// reference implementation that the indexed ComputeEdges must match
-// bit-for-bit (see the package equivalence test); production paths use
-// ComputeEdges.
-func (g *Graph) ComputeEdgesNaive() {
-	for i := range g.adj {
-		g.adj[i] = nil
-	}
-	for len(g.adj) < len(g.Vertices) {
-		g.adj = append(g.adj, nil)
-	}
-	for i := 0; i < len(g.Vertices); i++ {
-		for j := i + 1; j < len(g.Vertices); j++ {
-			if g.Vertices[i] == nil || g.Vertices[j] == nil {
-				continue
-			}
-			w := g.EdgeWeight(g.Vertices[i], g.Vertices[j])
-			if w > 0 {
-				g.setEdge(i, j, w)
-			}
-		}
-	}
-}
-
 // setEdge installs (or updates) the undirected edge i–j, keeping both runs
 // sorted. Appends reuse a run's own span when possible and reallocate
 // privately when it is full, so shared-backing runs never overlap.
@@ -1069,9 +1046,6 @@ func (g *Graph) Weight(i, j int) (float64, bool) {
 	}
 	return 0, false
 }
-
-// Degree returns the number of edges incident to vertex i.
-func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
 
 // ConnectVertex computes and installs the edges between vertex v (already
 // added to the graph) and every other vertex — the incremental step of
@@ -1165,10 +1139,6 @@ func (g *Graph) ForEachOverlap(iv *bitvec.Vector, fn func(vertex int, w float64)
 	}
 	sc.cands = touched[:0]
 }
-
-// RemoveVertexEdges detaches vertex i from all neighbors (used when a
-// vertex migrates out of a coordinator's graph).
-func (g *Graph) RemoveVertexEdges(i int) { g.deleteVertexEdges(i) }
 
 // RemoveVertex deletes vertex id from the graph — the teardown primitive of
 // online query removal. Its edges are detached, the slot is niled (other
